@@ -96,10 +96,11 @@ impl CountMinSketch {
         est
     }
 
-    /// Halves every counter (decay epoch).
-    pub fn halve(&mut self) {
+    /// Applies `epochs` decay epochs at once: halving `epochs` times is a
+    /// right shift by `epochs`, and 64 or more halvings zero a counter.
+    pub fn decay(&mut self, epochs: u64) {
         for c in &mut self.counters {
-            *c >>= 1;
+            *c = halved(*c, epochs);
         }
     }
 
@@ -113,6 +114,12 @@ impl CountMinSketch {
     pub fn state_bytes(&self) -> usize {
         self.counters.len() * std::mem::size_of::<u64>()
     }
+}
+
+/// `c` halved `epochs` times.
+#[inline]
+fn halved(c: u64, epochs: u64) -> u64 {
+    c.checked_shr(epochs.min(64) as u32).unwrap_or(0)
 }
 
 /// Statistics a [`SketchLimiter`] accumulates.
@@ -176,16 +183,21 @@ impl SketchLimiter {
         }
     }
 
-    /// Applies any decay epochs that have elapsed by `now`.
+    /// Applies every decay epoch that has elapsed by `now`, in O(1) epochs:
+    /// the daemon's clock starts at the Unix epoch, billions of epochs past
+    /// `SimTime::ZERO`, so stepping one epoch at a time would stall its
+    /// first request.
     fn advance(&mut self, now: SimTime) {
-        while now >= self.next_decay {
-            self.sketch.halve();
-            if let Some(shadow) = &mut self.shadow {
-                shadow.values_mut().for_each(|v| *v >>= 1);
-            }
-            self.next_decay += self.decay;
-            self.stats.decays += 1;
+        if now < self.next_decay {
+            return;
         }
+        let epochs = now.since(self.next_decay).as_nanos() / self.decay.as_nanos() + 1;
+        self.sketch.decay(epochs);
+        if let Some(shadow) = &mut self.shadow {
+            shadow.values_mut().for_each(|v| *v = halved(*v, epochs));
+        }
+        self.next_decay += self.decay * epochs;
+        self.stats.decays += epochs;
     }
 
     /// Charges `len` bytes to `key` at `now` and reports whether the path
@@ -291,10 +303,14 @@ mod tests {
     fn halving_decays_counters() {
         let mut s = CountMinSketch::new(1);
         s.add(9, 1000);
-        s.halve();
+        s.decay(1);
         assert_eq!(s.estimate(9), 500);
-        s.halve();
+        s.decay(1);
         assert_eq!(s.estimate(9), 250);
+        s.decay(0);
+        assert_eq!(s.estimate(9), 250);
+        s.decay(64);
+        assert_eq!(s.estimate(9), 0);
     }
 
     #[test]
@@ -319,6 +335,57 @@ mod tests {
         let later = SimTime::ZERO + SimDuration::from_millis(250);
         assert!(l.admit(1, 100, later));
         assert_eq!(l.stats.decays, 2);
+    }
+
+    /// The pre-catch-up decay: one halving per elapsed epoch.
+    fn step_epochs(l: &mut SketchLimiter, now: SimTime) {
+        while now >= l.next_decay {
+            l.sketch.counters.iter_mut().for_each(|c| *c >>= 1);
+            if let Some(shadow) = &mut l.shadow {
+                shadow.values_mut().for_each(|v| *v >>= 1);
+            }
+            l.next_decay += l.decay;
+            l.stats.decays += 1;
+        }
+    }
+
+    #[test]
+    fn catch_up_decay_matches_stepping_every_epoch() {
+        let decay = SimDuration::from_millis(250);
+        for gap in 0..=200u64 {
+            for offset_ns in [0, 1, 249_999_999] {
+                let mut fast = SketchLimiter::new(11, 1 << 40, 250);
+                fast.shadow = Some(DetHashMap::default());
+                for key in 0..64u64 {
+                    // Counters up to ~2^62 so every shift in 0..=64 shows.
+                    fast.admit(key, u32::MAX, SimTime::ZERO);
+                    fast.sketch.add(key, splitmix64(key) >> 2);
+                }
+                let mut slow = SketchLimiter::new(11, 1 << 40, 250);
+                slow.sketch = fast.sketch.clone();
+                slow.shadow = fast.shadow.clone();
+                slow.stats = fast.stats.clone();
+                let at = SimTime::ZERO + decay * gap + SimDuration::from_nanos(offset_ns);
+                fast.advance(at);
+                step_epochs(&mut slow, at);
+                assert_eq!(fast.sketch.counters, slow.sketch.counters, "gap {gap}+{offset_ns}ns");
+                assert_eq!(fast.shadow, slow.shadow, "gap {gap}+{offset_ns}ns");
+                assert_eq!(fast.stats.decays, slow.stats.decays, "gap {gap}+{offset_ns}ns");
+                assert_eq!(fast.next_decay, slow.next_decay, "gap {gap}+{offset_ns}ns");
+            }
+        }
+    }
+
+    #[test]
+    fn admits_at_a_unix_epoch_instant_without_stepping_every_epoch() {
+        // The daemon's clock: seconds since 1970, ~7e9 decay epochs in.
+        let now = SimTime::from_secs(1_760_000_000) + SimDuration::from_millis(100);
+        let mut l = SketchLimiter::new(5, 1000, 250);
+        assert!(l.admit(1, 600, now));
+        assert_eq!(l.stats.decays, 1_760_000_000 * 4);
+        assert!(!l.admit(1, 600, now), "budget still applies after the catch-up");
+        assert!(l.admit(1, 600, now + SimDuration::from_millis(500)), "and decays on schedule");
+        assert_eq!(l.stats.decays, 1_760_000_000 * 4 + 2);
     }
 
     #[test]

@@ -4,19 +4,19 @@
 //! regular, legacy FIFO) — driven by a poll loop over a [`Transport`]
 //! instead of the discrete-event queue.
 //!
-//! Per RX frame: strict wire decode (malformed frames are counted and
-//! dropped, never panic), a pooled [`Pkt`] wrap (allocation-free after
-//! warm-up), router processing against the node's wall clock, and an
+//! Per RX frame: strict wire decode straight into a pooled [`Pkt`]
+//! (malformed frames are counted and dropped, never panic; allocation-free
+//! after warm-up), router processing against the node's wall clock, and an
 //! enqueue into the egress scheduler. Per TX slot: dequeue in scheduler
-//! priority order, re-encode into the transport's retained buffer, and
-//! record the RX→TX forwarding latency in a log-linear histogram.
+//! priority order, encode straight into the transport's retained frame
+//! slot, and record the RX→TX forwarding latency in a log-linear histogram.
 
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 use tva_core::{RouterConfig, TvaRouter, TvaScheduler};
 use tva_obs::Histogram;
 use tva_sim::{ChannelId, Enqueued, Pkt, QueueDisc, SimTime};
-use tva_wire::ipcodec::{decode_packet, encode_packet_into};
+use tva_wire::ipcodec::{decode_packet_into, encode_packet_into};
 
 use crate::transport::Transport;
 use crate::NodeConfig;
@@ -132,9 +132,8 @@ impl NodeEngine {
     pub fn rx_frame(&mut self, frame: &[u8], now: SimTime) {
         self.stats.rx_frames += 1;
         self.stats.rx_bytes += frame.len() as u64;
-        match decode_packet(frame) {
-            Ok(pkt) => {
-                let mut pkt = Pkt::new(pkt);
+        match Pkt::try_fill(|p| decode_packet_into(frame, p)) {
+            Ok(mut pkt) => {
                 let _verdict = self.router.process(&mut pkt, NODE_INGRESS, now);
                 pkt.set_enqueued_at(now);
                 if self.sched.enqueue(pkt, now) == Enqueued::Dropped {
@@ -157,13 +156,25 @@ impl NodeEngine {
         clock: &NodeClock,
         batch: usize,
     ) -> (usize, usize) {
-        let now_rx = clock.now();
+        self.poll_with(port, || clock.now(), batch)
+    }
+
+    /// [`poll`](Self::poll) reading "now" from `now` (once per phase)
+    /// instead of the wall clock, so a test can replay one frame sequence
+    /// at identical instants through two nodes.
+    pub fn poll_with<T: Transport>(
+        &mut self,
+        port: &mut T,
+        mut now: impl FnMut() -> SimTime,
+        batch: usize,
+    ) -> (usize, usize) {
+        let now_rx = now();
         // Split borrows: the closure mutates `self` while `port` is handed
         // out separately.
         let this = &mut *self;
         let rx = port.rx_burst(batch, &mut |frame| this.rx_frame(frame, now_rx));
 
-        let now_tx = clock.now();
+        let now_tx = now();
         let mut tx = 0;
         while tx < batch {
             let pkt = match self.pending.take() {
@@ -242,7 +253,7 @@ impl NodeEngine {
 mod tests {
     use super::*;
     use crate::transport::ring_pair;
-    use tva_wire::{encode_packet, Addr, CapHeader, Packet, PacketId};
+    use tva_wire::{decode_packet, encode_packet, Addr, CapHeader, Packet, PacketId};
 
     fn legacy_frame() -> Vec<u8> {
         encode_packet(&Packet {

@@ -17,6 +17,11 @@
 //! consulted for anything but spare capacity. Each thread has its own free
 //! list (simulations are single-threaded; sweeps run one simulation per
 //! thread), so there is no cross-thread ordering to influence results.
+//!
+//! [`Pkt::try_fill`] fills a recycled box in place instead (the daemon's RX
+//! path decodes frames straight into it), under the same invariant: a
+//! successful fill overwrites every field, whatever the box held before,
+//! and a failed fill's box goes back to the pool unread.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -63,6 +68,20 @@ pub fn pool_stats() -> PoolStats {
     })
 }
 
+/// Pops a free box off this thread's pool, counting the hit or the miss.
+fn pop_free() -> Option<Box<Packet>> {
+    POOL.with(|p| {
+        let mut p = p.borrow_mut();
+        let b = p.free.pop();
+        if b.is_some() {
+            p.reuses += 1;
+        } else {
+            p.allocs += 1;
+        }
+        b
+    })
+}
+
 /// A pooled, heap-backed packet: the unit of ownership on the simulator's
 /// data path. Derefs to [`Packet`], so field access and `&Packet` APIs work
 /// unchanged; cloning allocates from the pool; dropping recycles the box.
@@ -79,27 +98,25 @@ pub struct Pkt {
 impl Pkt {
     /// Wraps a packet, reusing a pooled box when one is free.
     pub fn new(pkt: Packet) -> Self {
-        let recycled = POOL.with(|p| {
-            let mut p = p.borrow_mut();
-            match p.free.pop() {
-                Some(b) => {
-                    p.reuses += 1;
-                    Some(b)
-                }
-                None => {
-                    p.allocs += 1;
-                    None
-                }
-            }
-        });
-        let slot = match recycled {
+        let slot = match pop_free() {
             Some(mut b) => {
                 *b = pkt;
-                Some(b)
+                b
             }
-            None => Some(Box::new(pkt)),
+            None => Box::new(pkt),
         };
-        Pkt { slot, enqueued_at: SimTime::ZERO }
+        Pkt { slot: Some(slot), enqueued_at: SimTime::ZERO }
+    }
+
+    /// Builds a packet by letting `fill` write it straight into a pooled
+    /// box, skipping the by-value packet [`Pkt::new`] would move in. `fill`
+    /// must overwrite every field on success (the box may hold a previous
+    /// packet); on error the box returns to the pool unread.
+    pub fn try_fill<E>(fill: impl FnOnce(&mut Packet) -> Result<(), E>) -> Result<Self, E> {
+        let slot = pop_free().unwrap_or_default();
+        let mut pkt = Pkt { slot: Some(slot), enqueued_at: SimTime::ZERO };
+        fill(&mut pkt)?;
+        Ok(pkt)
     }
 
     /// When this packet was last accepted into a queue (engine egress, or a
@@ -222,6 +239,33 @@ mod tests {
             assert_eq!(p.id, PacketId(i));
         }
         assert_eq!(pool_stats().allocs, a0, "steady-state cycling must not allocate boxes");
+    }
+
+    #[test]
+    fn try_fill_fills_a_recycled_box_in_place() {
+        drop(Pkt::new(sample(1)));
+        let a0 = pool_stats().allocs;
+        let p = Pkt::try_fill(|p| -> Result<(), ()> {
+            *p = sample(9);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(*p, sample(9));
+        assert_eq!(pool_stats().allocs, a0, "fill must reuse the pooled box");
+    }
+
+    #[test]
+    fn failed_fill_returns_the_box_to_the_pool() {
+        drop(Pkt::new(sample(1)));
+        let before = pool_stats();
+        let r = Pkt::try_fill(|p| {
+            p.payload_len = 5;
+            Err("malformed")
+        });
+        assert_eq!(r.err(), Some("malformed"));
+        let after = pool_stats();
+        assert_eq!(after.free, before.free, "the popped box went back to the pool");
+        assert_eq!(after.allocs, before.allocs);
     }
 
     #[test]

@@ -5,8 +5,14 @@
 //! implemented and tested bit-exactly against the field layout of Figure 5.
 //! Decoding is strict: trailing garbage, truncation, bad versions or
 //! inconsistent counts are errors, never panics.
+//!
+//! Both directions work in place, because the forwarding daemon runs them
+//! once per frame: the encoder writes every field at a fixed offset of a
+//! buffer the caller sized once, and the decoder overwrites a caller-owned
+//! header, reusing its inline lists instead of building (and zero-filling)
+//! a fresh one. The allocating forms are thin wrappers over these.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 use crate::cap::{CapList, CapValue, FlowNonce, PathId, RequestEntry, RequestList, MAX_PATH_ROUTERS};
 use crate::error::WireError;
@@ -17,66 +23,102 @@ use crate::nt::Grant;
 const RET_DEMOTION: u8 = 0b0000_0001;
 /// Return-info type byte: capability list follows.
 const RET_CAPS: u8 = 0b0000_0010;
+/// Wire bytes per request entry: 16-bit path id + 64-bit pre-capability.
+const ENTRY_LEN: usize = 10;
+/// Wire bytes per capability word.
+const CAP_LEN: usize = 8;
+
+#[inline]
+pub(crate) fn be16(b: &[u8]) -> u16 {
+    u16::from_be_bytes([b[0], b[1]])
+}
+
+#[inline]
+pub(crate) fn be32(b: &[u8]) -> u32 {
+    u32::from_be_bytes([b[0], b[1], b[2], b[3]])
+}
+
+#[inline]
+fn be64(b: &[u8]) -> u64 {
+    u64::from_be_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+}
 
 /// Encodes `header` (with the given upper-layer protocol number) to bytes.
 pub fn encode(header: &CapHeader, upper_proto: u8) -> Bytes {
-    let mut b = BytesMut::with_capacity(header.encoded_len());
+    let mut b = vec![0; header.encoded_len()];
     encode_into(header, upper_proto, &mut b);
-    b.freeze()
+    Bytes::from(b)
 }
 
-/// Appends the encoded header to `out` without allocating a fresh buffer;
-/// the daemon TX path uses this to serialize into reused frame slots.
-pub fn encode_into(header: &CapHeader, upper_proto: u8, b: &mut impl BufMut) {
-    let vt = (VERSION << 4) | header.type_nibble();
-    b.put_u8(vt);
-    b.put_u8(upper_proto);
-    match &header.payload {
+/// Writes the encoded header to the front of `out` and returns its length,
+/// `header.encoded_len()`. Every field lands at a fixed offset, so the
+/// daemon TX path serializes straight into a frame slot sized once.
+///
+/// # Panics
+///
+/// Panics if `out` is shorter than `header.encoded_len()`.
+pub fn encode_into(header: &CapHeader, upper_proto: u8, out: &mut [u8]) -> usize {
+    out[0] = (VERSION << 4) | header.type_nibble();
+    out[1] = upper_proto;
+    let at = match &header.payload {
         CapPayload::Request { entries } => {
-            b.put_u8(entries.len() as u8); // capability num
-            b.put_u8(entries.len() as u8); // capability ptr (next blank slot)
-            for e in entries {
-                b.put_u16(e.path_id.0);
-                b.put_u64(e.precap.to_u64());
+            out[2] = entries.len() as u8; // capability num
+            out[3] = entries.len() as u8; // capability ptr (next blank slot)
+            let end = 4 + entries.len() * ENTRY_LEN;
+            for (slot, e) in out[4..end].chunks_exact_mut(ENTRY_LEN).zip(entries) {
+                slot[..2].copy_from_slice(&e.path_id.0.to_be_bytes());
+                slot[2..].copy_from_slice(&e.precap.to_u64().to_be_bytes());
             }
+            end
         }
-        CapPayload::Regular { nonce, caps, .. } => {
+        CapPayload::Regular { nonce, ptr, caps, .. } => {
             // 48-bit nonce, big-endian.
-            let n = nonce.to_u64();
-            b.put_u16((n >> 32) as u16);
-            b.put_u32(n as u32);
-            if let Some((grant, list)) = caps {
-                b.put_u8(list.len() as u8); // capability num
-                b.put_u8(match &header.payload {
-                    CapPayload::Regular { ptr, .. } => *ptr,
-                    CapPayload::Request { .. } => 0,
-                });
-                b.put_u16(grant.pack());
-                for c in list {
-                    b.put_u64(c.to_u64());
+            out[2..8].copy_from_slice(&nonce.to_u64().to_be_bytes()[2..]);
+            match caps {
+                None => 8,
+                Some((grant, list)) => {
+                    out[8] = list.len() as u8; // capability num
+                    out[9] = *ptr;
+                    out[10..12].copy_from_slice(&grant.pack().to_be_bytes());
+                    put_caps(out, 12, list)
                 }
             }
         }
-    }
+    };
     match &header.return_info {
-        None => {}
-        Some(ReturnInfo::DemotionNotice) => b.put_u8(RET_DEMOTION),
+        None => at,
+        Some(ReturnInfo::DemotionNotice) => {
+            out[at] = RET_DEMOTION;
+            at + 1
+        }
         Some(ReturnInfo::Capabilities { grant, caps }) => {
-            b.put_u8(RET_CAPS);
-            b.put_u8(caps.len() as u8);
-            b.put_u16(grant.pack());
-            for c in caps {
-                b.put_u64(c.to_u64());
-            }
+            out[at] = RET_CAPS;
+            out[at + 1] = caps.len() as u8;
+            out[at + 2..at + 4].copy_from_slice(&grant.pack().to_be_bytes());
+            put_caps(out, at + 4, caps)
         }
     }
 }
 
-fn need(buf: &impl Buf, n: usize) -> Result<(), WireError> {
-    if buf.remaining() < n {
-        Err(WireError::Truncated)
+fn put_caps(out: &mut [u8], at: usize, caps: &[CapValue]) -> usize {
+    let end = at + caps.len() * CAP_LEN;
+    for (slot, c) in out[at..end].chunks_exact_mut(CAP_LEN).zip(caps) {
+        slot.copy_from_slice(&c.to_u64().to_be_bytes());
+    }
+    end
+}
+
+/// The `n` bytes of `buf` at `at`, or [`WireError::Truncated`].
+#[inline]
+fn field(buf: &[u8], at: usize, n: usize) -> Result<&[u8], WireError> {
+    buf.get(at..at + n).ok_or(WireError::Truncated)
+}
+
+fn check_count(num: usize) -> Result<usize, WireError> {
+    if num > MAX_PATH_ROUTERS {
+        Err(WireError::BadCount(num))
     } else {
-        Ok(())
+        Ok(num)
     }
 }
 
@@ -96,93 +138,139 @@ pub fn decode(buf: &[u8]) -> Result<(CapHeader, u8), WireError> {
 /// is self-describing (its counts determine its length), so no outer
 /// framing is needed.
 pub fn decode_prefix(buf: &[u8]) -> Result<(CapHeader, u8, usize), WireError> {
-    let original = buf.len();
-    let mut buf = buf;
-    need(&buf, 2)?;
-    let vt = buf.get_u8();
+    let mut header = None;
+    let (upper, used) = decode_prefix_into(buf, &mut header)?;
+    Ok((header.expect("a successful decode fills the header"), upper, used))
+}
+
+/// [`decode_prefix`] into a caller-owned header: on success `out` holds the
+/// decoded header (every field overwritten, whatever it held before) and
+/// the upper protocol and bytes consumed are returned. Inline lists already
+/// in `out` are cleared and refilled rather than rebuilt; a fresh one is
+/// built only when the header kind differs. On error `out` is left in an
+/// unspecified state and must not be read.
+pub fn decode_prefix_into(
+    buf: &[u8],
+    out: &mut Option<CapHeader>,
+) -> Result<(u8, usize), WireError> {
+    let &[vt, upper_proto, ..] = buf else { return Err(WireError::Truncated) };
     let version = vt >> 4;
     if version != VERSION {
         return Err(WireError::BadVersion(version));
     }
-    let type_nibble = vt & 0x0F;
-    let demoted = type_nibble & 0b1000 != 0;
-    let has_return = type_nibble & 0b0100 != 0;
-    let kind = CapKind::from_bits(type_nibble);
-    let upper_proto = buf.get_u8();
+    let kind = CapKind::from_bits(vt);
+    let h = out.get_or_insert_with(|| CapHeader::regular_nonce_only(FlowNonce::new(0)));
+    h.demoted = vt & 0b1000 != 0;
+    let has_return = vt & 0b0100 != 0;
+    let mut at = 2;
 
-    let payload = match kind {
-        CapKind::Request => {
-            need(&buf, 2)?;
-            let num = buf.get_u8() as usize;
-            let _ptr = buf.get_u8();
-            if num > MAX_PATH_ROUTERS {
-                return Err(WireError::BadCount(num));
-            }
-            let mut entries = RequestList::new();
-            for _ in 0..num {
-                need(&buf, 10)?;
-                let path_id = PathId(buf.get_u16());
-                let precap = CapValue::from_u64(buf.get_u64());
-                entries.push(RequestEntry { path_id, precap });
-            }
-            CapPayload::Request { entries }
+    if kind == CapKind::Request {
+        let num = check_count(field(buf, at, 2)?[0] as usize)?; // num, ptr
+        at += 2;
+        let body = field(buf, at, num * ENTRY_LEN)?;
+        at += body.len();
+        let entries = request_entries(&mut h.payload);
+        entries.clear();
+        for e in body.chunks_exact(ENTRY_LEN) {
+            entries.push(RequestEntry {
+                path_id: PathId(be16(e)),
+                precap: CapValue::from_u64(be64(&e[2..])),
+            });
         }
-        CapKind::RegularNonceOnly | CapKind::RegularWithCaps | CapKind::Renewal => {
-            need(&buf, 6)?;
-            let hi = buf.get_u16() as u64;
-            let lo = buf.get_u32() as u64;
-            let nonce = FlowNonce::new((hi << 32) | lo);
-            let mut ptr = 0;
-            let caps = if kind == CapKind::RegularNonceOnly {
-                None
-            } else {
-                need(&buf, 4)?;
-                let num = buf.get_u8() as usize;
-                ptr = buf.get_u8();
-                if num > MAX_PATH_ROUTERS {
-                    return Err(WireError::BadCount(num));
-                }
-                let grant = Grant::unpack(buf.get_u16());
-                let mut list = CapList::new();
-                for _ in 0..num {
-                    need(&buf, 8)?;
-                    list.push(CapValue::from_u64(buf.get_u64()));
-                }
-                Some((grant, list))
-            };
-            CapPayload::Regular { nonce, ptr, caps, renewal: kind == CapKind::Renewal }
+    } else {
+        let n = field(buf, at, 6)?;
+        let nonce_value = FlowNonce::new((u64::from(be16(n)) << 32) | u64::from(be32(&n[2..])));
+        at += 6;
+        let (nonce, ptr, caps, renewal) = regular_fields(&mut h.payload);
+        *nonce = nonce_value;
+        *renewal = kind == CapKind::Renewal;
+        if kind == CapKind::RegularNonceOnly {
+            *ptr = 0;
+            *caps = None;
+        } else {
+            let head = field(buf, at, 4)?; // num, ptr, N/T
+            let num = check_count(head[0] as usize)?;
+            *ptr = head[1];
+            let grant = Grant::unpack(be16(&head[2..]));
+            at += 4;
+            let body = field(buf, at, num * CAP_LEN)?;
+            at += body.len();
+            let (g, list) = caps.get_or_insert_with(|| (grant, CapList::new()));
+            *g = grant;
+            read_caps(body, list);
         }
-    };
+    }
 
-    let return_info = if has_return {
-        need(&buf, 1)?;
-        match buf.get_u8() {
-            RET_DEMOTION => Some(ReturnInfo::DemotionNotice),
+    if has_return {
+        match field(buf, at, 1)?[0] {
+            RET_DEMOTION => {
+                h.return_info = Some(ReturnInfo::DemotionNotice);
+                at += 1;
+            }
             RET_CAPS => {
-                need(&buf, 3)?;
-                let num = buf.get_u8() as usize;
-                if num > MAX_PATH_ROUTERS {
-                    return Err(WireError::BadCount(num));
-                }
-                let grant = Grant::unpack(buf.get_u16());
-                let mut caps = CapList::new();
-                for _ in 0..num {
-                    need(&buf, 8)?;
-                    caps.push(CapValue::from_u64(buf.get_u64()));
-                }
-                Some(ReturnInfo::Capabilities { grant, caps })
+                let head = field(buf, at + 1, 3)?; // num, N/T
+                let num = check_count(head[0] as usize)?;
+                let grant = Grant::unpack(be16(&head[1..]));
+                at += 4;
+                let body = field(buf, at, num * CAP_LEN)?;
+                at += body.len();
+                read_caps(body, return_caps(&mut h.return_info, grant));
             }
             other => return Err(WireError::BadReturnType(other)),
         }
     } else {
-        None
-    };
+        h.return_info = None;
+    }
+    Ok((upper_proto, at))
+}
 
-    Ok((
-        CapHeader { demoted, payload, return_info },
-        upper_proto,
-        original - buf.remaining(),
-    ))
+fn read_caps(body: &[u8], list: &mut CapList) {
+    list.clear();
+    for c in body.chunks_exact(CAP_LEN) {
+        list.push(CapValue::from_u64(be64(c)));
+    }
+}
+
+/// `payload`'s request list, reshaping a regular payload into an empty
+/// request first.
+fn request_entries(payload: &mut CapPayload) -> &mut RequestList {
+    if let CapPayload::Regular { .. } = payload {
+        *payload = CapPayload::Request { entries: RequestList::new() };
+    }
+    match payload {
+        CapPayload::Request { entries } => entries,
+        CapPayload::Regular { .. } => unreachable!("reshaped to a request above"),
+    }
+}
+
+/// `payload`'s regular-packet fields, reshaping a request into a nonce-only
+/// regular payload first.
+fn regular_fields(
+    payload: &mut CapPayload,
+) -> (&mut FlowNonce, &mut u8, &mut Option<(Grant, CapList)>, &mut bool) {
+    if let CapPayload::Request { .. } = payload {
+        *payload =
+            CapPayload::Regular { nonce: FlowNonce::new(0), ptr: 0, caps: None, renewal: false };
+    }
+    match payload {
+        CapPayload::Regular { nonce, ptr, caps, renewal } => (nonce, ptr, caps, renewal),
+        CapPayload::Request { .. } => unreachable!("reshaped to a regular payload above"),
+    }
+}
+
+/// The capability list of `ret`, set to carry `grant`, reshaping any other
+/// return info into an empty capability return first.
+fn return_caps(ret: &mut Option<ReturnInfo>, grant: Grant) -> &mut CapList {
+    if !matches!(ret, Some(ReturnInfo::Capabilities { .. })) {
+        *ret = Some(ReturnInfo::Capabilities { grant, caps: CapList::new() });
+    }
+    match ret {
+        Some(ReturnInfo::Capabilities { grant: g, caps }) => {
+            *g = grant;
+            caps
+        }
+        _ => unreachable!("reshaped to a capability return above"),
+    }
 }
 
 #[cfg(test)]

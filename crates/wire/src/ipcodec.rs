@@ -7,11 +7,14 @@
 //! carrying the upper protocol (§4.1: "We implement this as a shim layer
 //! above IP"); the header's first eight bytes deliberately contain no
 //! pre-capability material so ICMP error bodies cannot leak stamps (§7).
-
-use bytes::{Buf, BufMut};
+//!
+//! Like the shim codec, both directions work in place: the encoder sizes
+//! the frame once and writes each layer at its fixed offset, and
+//! [`decode_packet_into`] overwrites a caller-owned (typically pooled)
+//! packet.
 
 use crate::addr::Addr;
-use crate::codec;
+use crate::codec::{self, be16, be32};
 use crate::error::WireError;
 use crate::packet::{Packet, PacketId, TcpFlags, TcpSegment, IP_HEADER_LEN, TCP_HEADER_LEN};
 
@@ -45,28 +48,27 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
     !(sum as u16)
 }
 
-fn put_ipv4_header(out: &mut Vec<u8>, pkt: &Packet, total_len: u16, proto: u8) {
-    let start = out.len();
-    out.put_u8(0x45); // version 4, IHL 5
-    out.put_u8(0); // DSCP/ECN
-    out.put_u16(total_len);
-    out.put_u16((pkt.id.0 & 0xFFFF) as u16); // identification (tracing only)
-    out.put_u16(0); // flags/fragment offset
-    out.put_u8(64); // TTL
-    out.put_u8(proto);
-    out.put_u16(0); // checksum placeholder
-    out.put_u32(pkt.src.to_u32());
-    out.put_u32(pkt.dst.to_u32());
-    let csum = internet_checksum(&out[start..start + IP_HEADER_LEN]);
-    out[start + 10..start + 12].copy_from_slice(&csum.to_be_bytes());
+fn write_ipv4_header(ip: &mut [u8], pkt: &Packet, total_len: u16, proto: u8) {
+    ip[0] = 0x45; // version 4, IHL 5
+    ip[1] = 0; // DSCP/ECN
+    ip[2..4].copy_from_slice(&total_len.to_be_bytes());
+    ip[4..6].copy_from_slice(&(pkt.id.0 as u16).to_be_bytes()); // identification (tracing only)
+    ip[6..8].fill(0); // flags/fragment offset
+    ip[8] = 64; // TTL
+    ip[9] = proto;
+    ip[10..12].fill(0); // checksum placeholder
+    ip[12..16].copy_from_slice(&pkt.src.to_u32().to_be_bytes());
+    ip[16..20].copy_from_slice(&pkt.dst.to_u32().to_be_bytes());
+    let csum = internet_checksum(ip);
+    ip[10..12].copy_from_slice(&csum.to_be_bytes());
 }
 
-fn put_tcp_header(out: &mut Vec<u8>, seg: &TcpSegment) {
-    out.put_u16(seg.src_port);
-    out.put_u16(seg.dst_port);
-    out.put_u32(seg.seq);
-    out.put_u32(seg.ack);
-    let mut flags: u16 = (5 << 12) & 0xF000; // data offset 5 words
+fn write_tcp_header(t: &mut [u8], seg: &TcpSegment) {
+    t[0..2].copy_from_slice(&seg.src_port.to_be_bytes());
+    t[2..4].copy_from_slice(&seg.dst_port.to_be_bytes());
+    t[4..8].copy_from_slice(&seg.seq.to_be_bytes());
+    t[8..12].copy_from_slice(&seg.ack.to_be_bytes());
+    let mut flags: u16 = 5 << 12; // data offset 5 words
     if seg.flags.fin {
         flags |= 0x01;
     }
@@ -79,10 +81,9 @@ fn put_tcp_header(out: &mut Vec<u8>, seg: &TcpSegment) {
     if seg.flags.ack {
         flags |= 0x10;
     }
-    out.put_u16(flags);
-    out.put_u16(0xFFFF); // window (flow control is not modeled)
-    out.put_u16(0); // checksum (not computed: payload bytes are synthetic)
-    out.put_u16(0); // urgent
+    t[12..14].copy_from_slice(&flags.to_be_bytes());
+    t[14..16].copy_from_slice(&0xFFFFu16.to_be_bytes()); // window (flow control is not modeled)
+    t[16..20].fill(0); // checksum (not computed: payload bytes are synthetic), urgent
 }
 
 /// Serializes `pkt` to its full on-wire byte representation. The payload is
@@ -93,15 +94,16 @@ pub fn encode_packet(pkt: &Packet) -> Vec<u8> {
     out
 }
 
-/// Serializes `pkt` into `out`, clearing it first. The buffer's capacity is
-/// reused, so a caller cycling one buffer (or a pool of frame slots) pays
-/// zero allocations per packet in steady state — the forwarding-daemon TX
-/// path depends on this.
+/// Serializes `pkt` into `out`, replacing its contents. The frame is sized
+/// once and each layer written at its fixed offset; the buffer's capacity
+/// is reused, so a caller cycling one buffer (or a pool of frame slots)
+/// pays zero allocations per packet in steady state — the forwarding-daemon
+/// TX path depends on this.
 pub fn encode_packet_into(pkt: &Packet, out: &mut Vec<u8>) {
-    out.clear();
     let total = pkt.wire_len();
     assert!(total <= u16::MAX as u32, "packet exceeds the IPv4 total-length field");
-    out.reserve(total as usize);
+    out.clear();
+    out.resize(total as usize, 0);
     let proto = if pkt.cap.is_some() {
         IPPROTO_TVA
     } else if pkt.tcp.is_some() {
@@ -109,87 +111,79 @@ pub fn encode_packet_into(pkt: &Packet, out: &mut Vec<u8>) {
     } else {
         IPPROTO_DATA
     };
-    put_ipv4_header(out, pkt, total as u16, proto);
+    let (ip, rest) = out.split_at_mut(IP_HEADER_LEN);
+    write_ipv4_header(ip, pkt, total as u16, proto);
+    let mut at = 0;
     if let Some(cap) = &pkt.cap {
         let upper = if pkt.tcp.is_some() { IPPROTO_TCP } else { UPPER_NONE };
-        codec::encode_into(cap, upper, out);
+        at = codec::encode_into(cap, upper, rest);
     }
     if let Some(tcp) = &pkt.tcp {
-        put_tcp_header(out, tcp);
+        write_tcp_header(&mut rest[at..at + TCP_HEADER_LEN], tcp);
     }
-    out.resize(total as usize, 0);
-}
-
-fn parse_tcp(buf: &mut &[u8]) -> Result<TcpSegment, WireError> {
-    if buf.remaining() < TCP_HEADER_LEN {
-        return Err(WireError::Truncated);
-    }
-    let src_port = buf.get_u16();
-    let dst_port = buf.get_u16();
-    let seq = buf.get_u32();
-    let ack = buf.get_u32();
-    let flags_raw = buf.get_u16();
-    let _window = buf.get_u16();
-    let _csum = buf.get_u16();
-    let _urgent = buf.get_u16();
-    Ok(TcpSegment {
-        src_port,
-        dst_port,
-        seq,
-        ack,
-        flags: TcpFlags {
-            fin: flags_raw & 0x01 != 0,
-            syn: flags_raw & 0x02 != 0,
-            rst: flags_raw & 0x04 != 0,
-            ack: flags_raw & 0x10 != 0,
-        },
-    })
 }
 
 /// Parses a full on-wire packet. The IPv4 header checksum is verified;
 /// payload contents are discarded (only the length is kept).
 pub fn decode_packet(data: &[u8]) -> Result<Packet, WireError> {
-    if data.len() < IP_HEADER_LEN {
-        return Err(WireError::Truncated);
-    }
-    if internet_checksum(&data[..IP_HEADER_LEN]) != 0 {
+    let mut pkt = Packet::default();
+    decode_packet_into(data, &mut pkt)?;
+    Ok(pkt)
+}
+
+/// [`decode_packet`] into a caller-owned packet. On success every field of
+/// `pkt` is overwritten, whatever it held before (inline capability lists
+/// already present are reused, see [`codec::decode_prefix_into`]); on error
+/// `pkt` is left in an unspecified state and must not be read.
+pub fn decode_packet_into(data: &[u8], pkt: &mut Packet) -> Result<(), WireError> {
+    let Some(ip) = data.get(..IP_HEADER_LEN) else { return Err(WireError::Truncated) };
+    if internet_checksum(ip) != 0 {
         return Err(WireError::BadVersion(0xFF)); // corrupted header
     }
-    let mut buf = data;
-    let vihl = buf.get_u8();
-    if vihl != 0x45 {
-        return Err(WireError::BadVersion(vihl >> 4));
+    if ip[0] != 0x45 {
+        return Err(WireError::BadVersion(ip[0] >> 4));
     }
-    let _tos = buf.get_u8();
-    let total_len = buf.get_u16() as usize;
+    let total_len = be16(&ip[2..]) as usize;
     if total_len != data.len() {
         return Err(WireError::TrailingBytes(data.len().abs_diff(total_len)));
     }
-    let id = buf.get_u16();
-    let _frag = buf.get_u16();
-    let _ttl = buf.get_u8();
-    let proto = buf.get_u8();
-    let _csum = buf.get_u16();
-    let src = Addr(buf.get_u32());
-    let dst = Addr(buf.get_u32());
+    pkt.id = PacketId(u64::from(be16(&ip[4..])));
+    pkt.src = Addr(be32(&ip[12..]));
+    pkt.dst = Addr(be32(&ip[16..]));
+    let proto = ip[9];
 
-    let (cap, upper) = if proto == IPPROTO_TVA {
-        let (h, upper, used) = codec::decode_prefix(buf)?;
-        buf.advance(used);
-        (Some(h), upper)
+    let mut at = IP_HEADER_LEN;
+    let upper = if proto == IPPROTO_TVA {
+        let (upper, used) = codec::decode_prefix_into(&data[at..], &mut pkt.cap)?;
+        at += used;
+        upper
     } else {
-        (None, proto)
+        pkt.cap = None;
+        proto
     };
 
-    let has_tcp = upper == IPPROTO_TCP;
-    let tcp = if has_tcp {
-        Some(parse_tcp(&mut buf)?)
+    pkt.tcp = if upper == IPPROTO_TCP {
+        let Some(t) = data.get(at..at + TCP_HEADER_LEN) else { return Err(WireError::Truncated) };
+        at += TCP_HEADER_LEN;
+        let flags_raw = be16(&t[12..]);
+        Some(TcpSegment {
+            src_port: be16(t),
+            dst_port: be16(&t[2..]),
+            seq: be32(&t[4..]),
+            ack: be32(&t[8..]),
+            flags: TcpFlags {
+                fin: flags_raw & 0x01 != 0,
+                syn: flags_raw & 0x02 != 0,
+                rst: flags_raw & 0x04 != 0,
+                ack: flags_raw & 0x10 != 0,
+            },
+        })
     } else {
         None
     };
 
-    let payload_len = buf.remaining() as u32;
-    Ok(Packet { id: PacketId(id as u64), src, dst, cap, tcp, payload_len })
+    pkt.payload_len = (data.len() - at) as u32;
+    Ok(())
 }
 
 #[cfg(test)]

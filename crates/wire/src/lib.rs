@@ -26,10 +26,10 @@ pub mod packet;
 
 pub use addr::{Addr, FlowKey};
 pub use cap::{CapList, CapValue, FlowNonce, PathId, RequestEntry, RequestList, MAX_PATH_ROUTERS};
-pub use codec::{decode, decode_prefix, encode, encode_into};
+pub use codec::{decode, decode_prefix, decode_prefix_into, encode, encode_into};
 pub use ipcodec::{
-    decode_packet, encode_packet, encode_packet_into, internet_checksum, IPPROTO_DATA,
-    IPPROTO_TCP, IPPROTO_TVA,
+    decode_packet, decode_packet_into, encode_packet, encode_packet_into, internet_checksum,
+    IPPROTO_DATA, IPPROTO_TCP, IPPROTO_TVA,
 };
 pub use error::WireError;
 pub use fasthash::{DetBuildHasher, DetHashMap, DetHashSet, FastHasher};

@@ -82,6 +82,21 @@ pub struct Packet {
     pub payload_len: u32,
 }
 
+impl Default for Packet {
+    /// An empty legacy packet (no shim, no transport, no payload): the
+    /// blank a decoder fills in place.
+    fn default() -> Self {
+        Packet {
+            id: PacketId(0),
+            src: Addr::UNSPECIFIED,
+            dst: Addr::UNSPECIFIED,
+            cap: None,
+            tcp: None,
+            payload_len: 0,
+        }
+    }
+}
+
 impl Packet {
     /// The (src, dst) flow key of this packet.
     #[inline]

@@ -10,6 +10,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --workspace -q (every crate's own suite)"
+cargo test --workspace -q
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -66,6 +69,20 @@ case "$node_out" in *"(0 forwarded"*)
 esac
 case "$node_out" in *"sketched state:"*) ;; *)
   echo "verify: FAIL — bench must run the bounded-state (sketched) leg"; exit 1;;
+esac
+# Sketched router under request floods at the daemon's Unix-epoch clock: the
+# request limiter's first admission must not step through every decay epoch
+# since time zero (it used to hang here).
+dirty_out=$(TVA_NODE_MIX=dirty TVA_NODE_SKETCHED=1 TVA_NODE_DUR_MS=200 timeout 120 \
+  cargo run --release -q -p tva-node --features alloc-count --bin tva-node -- \
+  bench --out target/verify-node-bench.json)
+echo "$dirty_out"
+rm -f target/verify-node-bench.json
+case "$dirty_out" in *"sketched state:"*) ;; *)
+  echo "verify: FAIL — dirty-mix sketched bench did not complete"; exit 1;;
+esac
+case "$dirty_out" in *"(0 forwarded"*)
+  echo "verify: FAIL — dirty-mix sketched bench forwarded nothing"; exit 1;;
 esac
 
 echo "==> telemetry plane smoke (serve + stats socket, obscheck, tva-top)"
