@@ -19,41 +19,6 @@ pub enum RegularQueueKey {
     PerSource,
 }
 
-/// How the request channel bounds per-path state (ROADMAP item 4).
-///
-/// The exact DRR key table is faithful to §3.2 but holds one queue per
-/// distinct path identifier — O(keys) memory. The sketched alternative
-/// replaces the key table with a count-min sketch rate limiter whose
-/// memory is a fixed array regardless of how many identifiers an
-/// attacker manufactures, trading per-path fair queuing for per-path
-/// rate policing (over-budget requests are demoted, never dropped).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RequestLimiter {
-    /// Per-PathId DRR queues (the paper's design; the default).
-    Exact,
-    /// Count-min sketch byte policing over a single FIFO: constant
-    /// memory under path-identifier sweeps.
-    Sketched,
-}
-
-/// How the capability flow cache reclaims entries when full.
-///
-/// Both modes preserve the §3.6 rule that an entry with remaining ttl is
-/// never evicted — that is what makes the 2N byte bound provable — and
-/// both carry `bytes_used` across re-admissions of the *same* capability
-/// so eviction churn cannot launder the byte budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheEviction {
-    /// Exact reclaim: a `BTreeSet` ordered by ttl expiry always finds an
-    /// expired victim if one exists (the default).
-    ExactTtl,
-    /// CLOCK sweep with reference bits over a fixed slot ring, plus a
-    /// ghost list (ARC-lite) remembering recently evicted capabilities'
-    /// spent bytes. O(1) untracked memory beyond the slot array; may
-    /// miss an expired victim the exact index would find (bounded sweep).
-    Clock,
-}
-
 /// Router-side configuration.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
@@ -100,22 +65,6 @@ pub struct RouterConfig {
     /// pure function of the packet id and merged tables stay
     /// shard-independent.
     pub flow_sample_seed: u64,
-    /// Request-channel state bound: exact per-PathId DRR or the constant-
-    /// memory count-min sketch limiter.
-    pub request_limiter: RequestLimiter,
-    /// Flow-cache reclaim: exact ttl index or CLOCK + ghost list.
-    pub cache_eviction: CacheEviction,
-    /// Hierarchical DRR for the request channel: fair-queue first over
-    /// /8-style path-identifier prefixes (high byte), then over full tags,
-    /// so a colluder ring fanning out k tags behind one ingress shares one
-    /// prefix-level allotment instead of claiming k× fair share. Ignored
-    /// when `request_limiter` is [`RequestLimiter::Sketched`].
-    pub prefix_drr: bool,
-    /// Per-path byte budget for the sketch limiter, per decay epoch.
-    pub sketch_budget_bytes: u64,
-    /// Sketch decay epoch: all counters halve every this many milliseconds
-    /// (forgetting old traffic without per-key timestamps).
-    pub sketch_decay_ms: u64,
 }
 
 impl Default for RouterConfig {
@@ -137,14 +86,6 @@ impl Default for RouterConfig {
             secret_seed: 0x7441_5641, // "tAVA"
             flow_sample_n: 0,
             flow_sample_seed: 0x5F10_77CA, // "sFlowCA"
-            request_limiter: RequestLimiter::Exact,
-            cache_eviction: CacheEviction::ExactTtl,
-            prefix_drr: false,
-            // One epoch's fair share if ~16 paths split a 1%-of-10Mb/s
-            // request channel for 250 ms — roughly what a flat DRR round
-            // would grant each backlogged path.
-            sketch_budget_bytes: 4096,
-            sketch_decay_ms: 250,
         }
     }
 }

@@ -55,7 +55,6 @@ pub mod policy;
 pub mod router;
 pub mod scheduler;
 pub mod shim;
-pub mod sketch;
 
 pub use attack::strategies::{
     spoofed_identity, MimicFlooder, PulseFlooder, RingFlooder, RotatingFlooder,
@@ -63,10 +62,9 @@ pub use attack::strategies::{
 };
 pub use attack::{AuthorizedFlooder, SpoofColluder};
 pub use capability::{expired, mint_cap, mint_precap, validate_cap, validate_precap, CapError};
-pub use config::{CacheEviction, HostConfig, RegularQueueKey, RequestLimiter, RouterConfig};
+pub use config::{HostConfig, RegularQueueKey, RouterConfig};
 pub use flowtable::{Charge, FlowEntry, FlowTable};
 pub use policy::{AllowAll, ClientPolicy, GrantPolicy, RequestInfo, ServerPolicy};
 pub use router::{RouterStats, TvaRouter, TvaRouterNode, Verdict};
 pub use scheduler::{SchedulerStats, TvaScheduler};
 pub use shim::{SendCaps, ShimStats, TvaHostShim};
-pub use sketch::{CountMinSketch, SketchLimiter, SketchStats};

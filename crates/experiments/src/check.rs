@@ -255,11 +255,12 @@ fn opt_u64(obj: &Map<String, Value>, key: &str) -> Option<u64> {
     }
 }
 
-/// Absent key reads as `false`: the bounded-state knobs were added after
-/// the artifact format, so older replay artifacts simply lack them.
-fn opt_bool(obj: &Map<String, Value>, key: &str) -> bool {
-    matches!(obj.get(key), Some(Value::Bool(true)))
-}
+/// Router options that older replay artifacts may set but that no longer
+/// exist: the bounded-state alternatives to the exact request key table
+/// and flow-cache reclaim index. An artifact that turns one on recorded a
+/// scenario this build cannot run, so replaying it on the exact structures
+/// would silently report a different scenario.
+const REMOVED_SCENARIO_KEYS: [&str; 3] = ["sketched_requests", "clock_cache", "prefix_drr"];
 
 fn get_bool(obj: &Map<String, Value>, key: &str) -> Result<bool, String> {
     match get(obj, key)? {
@@ -371,23 +372,20 @@ pub fn scenario_to_json(cfg: &ScenarioConfig) -> Value {
     if cfg.flow_sample_n != 0 {
         m.insert("flow_sample_n".into(), num(u64::from(cfg.flow_sample_n)));
     }
-    // Bounded-state knobs: omitted when off, so pre-existing artifacts
-    // (and their hashes) are untouched.
-    if cfg.sketched_requests {
-        m.insert("sketched_requests".into(), Value::Bool(true));
-    }
-    if cfg.clock_cache {
-        m.insert("clock_cache".into(), Value::Bool(true));
-    }
-    if cfg.prefix_drr {
-        m.insert("prefix_drr".into(), Value::Bool(true));
-    }
     Value::Object(m)
 }
 
 /// Parses a scenario configuration back out of a replay artifact.
 pub fn scenario_from_json(v: &Value) -> Result<ScenarioConfig, String> {
     let obj = as_object(v, "scenario config")?;
+    for key in REMOVED_SCENARIO_KEYS {
+        if obj.get(key).is_some_and(|v| *v != Value::Bool(false)) {
+            return Err(format!(
+                "key {key:?}: this router option was removed; the artifact's \
+                 scenario cannot be replayed on the exact structures"
+            ));
+        }
+    }
     let attack = match get_str(obj, "attack")? {
         "none" => Attack::None,
         "legacy-flood" => Attack::LegacyFlood,
@@ -444,9 +442,6 @@ pub fn scenario_from_json(v: &Value) -> Result<ScenarioConfig, String> {
         deny_attackers: get_bool(obj, "deny_attackers")?,
         per_queue_cap_bytes: opt_u64(obj, "per_queue_cap_bytes"),
         flow_sample_n: opt_u64(obj, "flow_sample_n").unwrap_or(0) as u32,
-        sketched_requests: opt_bool(obj, "sketched_requests"),
-        clock_cache: opt_bool(obj, "clock_cache"),
-        prefix_drr: opt_bool(obj, "prefix_drr"),
     })
 }
 
@@ -709,13 +704,6 @@ pub fn random_config(seed: u64) -> (ScenarioConfig, FuzzExtras) {
         // A quarter of runs sample flow records, so the fuzzer also covers
         // the telemetry hooks (sampling must never perturb the simulation).
         flow_sample_n: if chance(&mut rng, 25) { pick(&mut rng, 1, 17) as u32 } else { 0 },
-        // The bounded-state alternatives each cover a third-ish of runs
-        // (independently, so their combinations appear too): the sketch
-        // limiter, the CLOCK flow cache, and prefix-hierarchical DRR all
-        // carry their own invariants for the auditors to chew on.
-        sketched_requests: chance(&mut rng, 33),
-        clock_cache: chance(&mut rng, 33),
-        prefix_drr: chance(&mut rng, 33),
     };
     let mut extras = FuzzExtras::default();
     if chance(&mut rng, 50) {
@@ -815,6 +803,28 @@ mod tests {
         }
         let _ = std::fs::remove_file(path);
         let _ = std::fs::remove_file(flight);
+    }
+
+    #[test]
+    fn replay_refuses_artifacts_that_set_removed_router_options() {
+        let dir = std::env::temp_dir().join("tva-check-test-removed-keys");
+        let report = CheckReport::default();
+        for key in REMOVED_SCENARIO_KEYS {
+            let Value::Object(mut config) = scenario_to_json(&ScenarioConfig::default()) else {
+                panic!("scenario config serializes to an object");
+            };
+            config.insert(key.into(), Value::Bool(true));
+            let doc = artifact_json("scenario", Value::Object(config.clone()), None, &report);
+            let path = dir.join(format!("{key}.json"));
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(&path, serde_json::to_string_pretty(&doc).unwrap()).unwrap();
+            let err = read_artifact(&path).expect_err("removed option must not replay");
+            assert!(err.contains(key), "error {err:?} must name {key:?}");
+            let _ = fs::remove_file(&path);
+            // Explicitly off is exactly the surviving configuration.
+            config.insert(key.into(), Value::Bool(false));
+            scenario_from_json(&Value::Object(config)).expect("an option set to false replays");
+        }
     }
 
     #[test]

@@ -25,7 +25,6 @@ pub mod observe;
 pub mod report;
 pub mod robustness;
 pub mod scenario;
-pub mod statebound;
 pub mod sweep;
 
 pub use figures::{fig10, fig11, fig8, fig9, Fidelity};

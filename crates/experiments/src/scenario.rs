@@ -194,17 +194,6 @@ pub struct ScenarioConfig {
     /// `RouterConfig` sampling seed so their records merge into one
     /// per-prefix attribution table after the run.
     pub flow_sample_n: u32,
-    /// TVA request-channel policing: `false` (default) keeps the exact
-    /// per-path key table, `true` swaps in the constant-memory count-min
-    /// sketch limiter on both routers.
-    pub sketched_requests: bool,
-    /// TVA flow-cache reclaim: `false` (default) keeps the exact
-    /// ttl-ordered index, `true` switches both routers to the CLOCK +
-    /// ghost-list strategy.
-    pub clock_cache: bool,
-    /// Hierarchical (prefix-first) DRR for the TVA request channel
-    /// (ignored when `sketched_requests` replaces the key table).
-    pub prefix_drr: bool,
 }
 
 impl Default for ScenarioConfig {
@@ -230,9 +219,6 @@ impl Default for ScenarioConfig {
             deny_attackers: false,
             per_queue_cap_bytes: None,
             flow_sample_n: 0,
-            sketched_requests: false,
-            clock_cache: false,
-            prefix_drr: false,
         }
     }
 }
@@ -401,15 +387,6 @@ impl<'a> Builder<'a> {
         if let Some(cap) = cfg.per_queue_cap_bytes {
             tva_cfg1.per_queue_cap_bytes = cap;
             tva_cfg2.per_queue_cap_bytes = cap;
-        }
-        for rc in [&mut tva_cfg1, &mut tva_cfg2] {
-            if cfg.sketched_requests {
-                rc.request_limiter = tva_core::RequestLimiter::Sketched;
-            }
-            if cfg.clock_cache {
-                rc.cache_eviction = tva_core::CacheEviction::Clock;
-            }
-            rc.prefix_drr = cfg.prefix_drr;
         }
         let siff_cfg = SiffConfig {
             key_rotation: cfg.siff_key_rotation,

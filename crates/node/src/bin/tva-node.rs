@@ -68,14 +68,9 @@ fn bench(cfg: &NodeConfig, args: &[String]) {
     // box and reads as phantom overhead (same lesson as the engine A/B).
     let sample_n = if cfg.sample_n == 0 { 16 } else { cfg.sample_n };
     let tcfg = NodeConfig { sample_n, ..cfg.clone() };
-    // Bounded-state A/B: same traffic through a router whose request
-    // channel is the count-min sketch and whose flow cache reclaims via
-    // CLOCK — the constant-memory fast path, gated as `node_pps_sketched`.
-    let scfg = NodeConfig { sketched: true, ..cfg.clone() };
     const AB_REPS: usize = 3;
     let mut best: Option<(tva_node::NodeEngine, harness::NodeReport)> = None;
     let mut best_t: Option<(tva_node::NodeEngine, harness::NodeReport)> = None;
-    let mut best_s: Option<(tva_node::NodeEngine, harness::NodeReport)> = None;
     for _ in 0..AB_REPS {
         let (n, r) = harness::run_loopback(cfg);
         if best.as_ref().is_none_or(|(_, b)| r.pps > b.pps) {
@@ -85,14 +80,9 @@ fn bench(cfg: &NodeConfig, args: &[String]) {
         if best_t.as_ref().is_none_or(|(_, b)| tr.pps > b.pps) {
             best_t = Some((tn, tr));
         }
-        let (sn, sr) = harness::run_loopback(&scfg);
-        if best_s.as_ref().is_none_or(|(_, b)| sr.pps > b.pps) {
-            best_s = Some((sn, sr));
-        }
     }
     let (node, mut report) = best.expect("at least one rep");
     let (tnode, treport) = best_t.expect("at least one rep");
-    let (snode, sreport) = best_s.expect("at least one rep");
     println!("{}", summarize(&report));
     report.pps_telemetry = Some(treport.pps);
     let flow_records = tnode.router.flow.len() + tnode.sched.flow.len();
@@ -104,15 +94,6 @@ fn bench(cfg: &NodeConfig, args: &[String]) {
             .allocs_per_pkt
             .map(|a| format!(", {a:.4} allocs/pkt"))
             .unwrap_or_default(),
-    );
-    report.pps_sketched = Some(sreport.pps);
-    let sketched_state = (snode.router.table().state_bytes_estimate()
-        + snode.sched.request_state_bytes()) as u64;
-    report.state_bytes_sketched = Some(sketched_state);
-    println!(
-        "sketched state: {:.0} pps ({:+.1}% vs exact, best of {AB_REPS}), {sketched_state} policing-state bytes",
-        sreport.pps,
-        (sreport.pps / report.pps - 1.0) * 100.0,
     );
 
     std::fs::create_dir_all("results").expect("create results directory");

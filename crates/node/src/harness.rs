@@ -69,13 +69,6 @@ pub struct NodeReport {
     /// telemetry-on A/B leg the `bench` subcommand runs; `None` when that
     /// leg didn't run).
     pub pps_telemetry: Option<f64>,
-    /// Forwarded pps with the router in fully bounded-state mode (sketched
-    /// request limiter + CLOCK cache — the `bench` subcommand's third A/B
-    /// leg; `None` when that leg didn't run).
-    pub pps_sketched: Option<f64>,
-    /// Policing-state bytes (flow cache + request channel) of the sketched
-    /// leg's router after the run — the flat-memory gate input.
-    pub state_bytes_sketched: Option<u64>,
     /// Generator-side emission breakdown.
     pub gen: GenStats,
     /// End-to-end latency at the generator (UDP harness only).
@@ -115,8 +108,6 @@ fn report(
         queue_drops: node.stats.queue_drops,
         allocs_per_pkt: allocs.map(|a| a as f64 / forwarded.max(1) as f64),
         pps_telemetry: None,
-        pps_sketched: None,
-        state_bytes_sketched: None,
         gen: gen_stats,
         e2e,
     }
@@ -273,8 +264,6 @@ pub fn summarize(r: &NodeReport) -> String {
 pub const BENCH_METRIC_MAP: &[(&str, &str)] = &[
     ("node_pps", "node.pps"),
     ("node_pps_telemetry", "node.pps_telemetry"),
-    ("node_pps_sketched", "node.pps_sketched"),
-    ("node_state_bytes_sketched", "node.state_bytes_sketched"),
     ("node_ns_per_pkt", "node.ns_per_pkt"),
     ("node_p50_ns", "node.forward_latency_ns:p50"),
     ("node_p99_ns", "node.forward_latency_ns:p99"),
@@ -347,26 +336,6 @@ pub fn gate(r: &NodeReport, path: &str) -> Vec<String> {
             ));
         }
     }
-    if let (Some(s), Some(old_s)) = (r.pps_sketched, metric(&old, "node_pps_sketched")) {
-        if s < old_s * (1.0 - GATE) {
-            regressions.push(format!(
-                "node pps (sketched state): {old_s:.0} -> {s:.0} ({:+.1}%)",
-                (s / old_s - 1.0) * 100.0
-            ));
-        }
-    }
-    // Flat-memory gate: the bounded-state leg's policing footprint is a
-    // deterministic function of its capacities, so any growth beyond the
-    // 10% slack means a constant-memory structure stopped being constant.
-    if let (Some(b), Some(old_b)) =
-        (r.state_bytes_sketched, metric(&old, "node_state_bytes_sketched"))
-    {
-        if (b as f64) > old_b * (1.0 + GATE) {
-            regressions.push(format!(
-                "sketched-mode state bytes grew: {old_b:.0} -> {b} (must stay flat)"
-            ));
-        }
-    }
     regressions
 }
 
@@ -394,12 +363,6 @@ pub fn merge_bench(r: &NodeReport, path: &str) {
     if let Some(t) = r.pps_telemetry {
         map.insert("node_pps_telemetry".into(), Value::Number(t.round()));
     }
-    if let Some(s) = r.pps_sketched {
-        map.insert("node_pps_sketched".into(), Value::Number(s.round()));
-    }
-    if let Some(b) = r.state_bytes_sketched {
-        map.insert("node_state_bytes_sketched".into(), Value::Number(b as f64));
-    }
     let json = serde_json::to_string_pretty(&Value::Object(map)).expect("serializable");
     std::fs::write(path, json + "\n").expect("write baseline");
 }
@@ -422,12 +385,6 @@ pub fn metrics_registry(node: &NodeEngine, r: &NodeReport) -> Registry {
     }
     if let Some(t) = r.pps_telemetry {
         g(&mut reg, "node.pps_telemetry", t);
-    }
-    if let Some(s) = r.pps_sketched {
-        g(&mut reg, "node.pps_sketched", s);
-    }
-    if let Some(b) = r.state_bytes_sketched {
-        g(&mut reg, "node.state_bytes_sketched", b as f64);
     }
     let c = |reg: &mut Registry, name: &str, v: u64| {
         let id = reg.counter(name);
@@ -502,8 +459,6 @@ mod tests {
         let (node, mut r) = run_loopback(&quick_cfg());
         r.allocs_per_pkt.get_or_insert(0.0);
         r.pps_telemetry = Some(r.pps);
-        r.pps_sketched = Some(r.pps);
-        r.state_bytes_sketched = Some(1);
         let reg = metrics_registry(&node, &r);
         let snap = reg.snapshot();
         for (bench_key, metric_name) in BENCH_METRIC_MAP {

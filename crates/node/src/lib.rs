@@ -98,9 +98,6 @@ pub struct NodeConfig {
     pub flows: usize,
     /// Flow-record packet sampling, 1-in-N (0 = off); `TVA_OBS_SAMPLE_N`.
     pub sample_n: u32,
-    /// Run the router in fully bounded-state mode (count-min sketched
-    /// request limiter + CLOCK flow-cache eviction); `TVA_NODE_SKETCHED`.
-    pub sketched: bool,
 }
 
 impl Default for NodeConfig {
@@ -115,7 +112,6 @@ impl Default for NodeConfig {
             mix: MixKind::Clean,
             flows: 128,
             sample_n: 0,
-            sketched: false,
         }
     }
 }
@@ -178,9 +174,6 @@ impl NodeConfig {
         }
         if let Some(v) = env_u64("TVA_OBS_SAMPLE_N") {
             cfg.sample_n = v as u32;
-        }
-        if let Some(v) = env_u64("TVA_NODE_SKETCHED") {
-            cfg.sketched = v != 0;
         }
         cfg
     }

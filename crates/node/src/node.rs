@@ -102,16 +102,6 @@ impl NodeEngine {
         let rcfg = RouterConfig {
             secret_seed: cfg.secret_seed,
             flow_sample_n: cfg.sample_n,
-            request_limiter: if cfg.sketched {
-                tva_core::RequestLimiter::Sketched
-            } else {
-                tva_core::RequestLimiter::Exact
-            },
-            cache_eviction: if cfg.sketched {
-                tva_core::CacheEviction::Clock
-            } else {
-                tva_core::CacheEviction::ExactTtl
-            },
             ..RouterConfig::default()
         };
         let sched = TvaScheduler::new(cfg.link_bps, &rcfg);
@@ -229,9 +219,8 @@ impl NodeEngine {
         reg.set(g, self.sched.len_pkts() as f64);
         let g = reg.gauge("node.queue_depth_bytes");
         reg.set(g, self.sched.len_bytes() as f64);
-        // Bounded-state telemetry: policing-state footprint plus — in
-        // sketched mode — sketch occupancy and (under TVA_CHECK) the mean
-        // overestimate of the audit shadow map.
+        // Bounded-state telemetry: the policing-state footprint of the flow
+        // cache and the request key table.
         let g = reg.gauge("node.state_bytes");
         reg.set(
             g,

@@ -304,24 +304,22 @@ fn run_reference(cfg: &NodeConfig, frames: &[Vec<u8>], batch: usize) -> (NodeEng
 
 /// The in-place RX/TX path (decode into a recycled pooled box, encode into
 /// the ring's frame slot) is observably identical to the allocating codec
-/// on the dirty mix, in both router state modes.
+/// on the dirty mix.
 #[test]
 fn in_place_codec_path_matches_the_allocating_reference() {
-    for sketched in [false, true] {
-        let cfg = NodeConfig { mix: MixKind::Dirty, sketched, ..NodeConfig::default() };
-        let frames = dirty_mix_frames(&cfg, 64 * BATCH);
-        let (got, got_tx) = run_poll(&cfg, &frames, BATCH);
-        let (want, want_tx) = run_reference(&cfg, &frames, BATCH);
-        assert_eq!(counters(&got), counters(&want), "sketched={sketched}");
-        assert_eq!(got_tx.len(), want_tx.len(), "sketched={sketched}");
-        for (i, (g, w)) in got_tx.iter().zip(&want_tx).enumerate() {
-            assert_eq!(g, w, "TX frame {i} differs (sketched={sketched})");
-        }
-        // The mix reached every verdict the comparison is meant to cover.
-        let r = &got.router.stats;
-        assert!(r.malformed_drops > 0 && r.requests_stamped > 0, "{r:?}");
-        assert!(r.nonce_hits > 0 && r.demotions > 0 && r.legacy > 0, "{r:?}");
+    let cfg = NodeConfig { mix: MixKind::Dirty, ..NodeConfig::default() };
+    let frames = dirty_mix_frames(&cfg, 64 * BATCH);
+    let (got, got_tx) = run_poll(&cfg, &frames, BATCH);
+    let (want, want_tx) = run_reference(&cfg, &frames, BATCH);
+    assert_eq!(counters(&got), counters(&want));
+    assert_eq!(got_tx.len(), want_tx.len());
+    for (i, (g, w)) in got_tx.iter().zip(&want_tx).enumerate() {
+        assert_eq!(g, w, "TX frame {i} differs");
     }
+    // The mix reached every verdict the comparison is meant to cover.
+    let r = &got.router.stats;
+    assert!(r.malformed_drops > 0 && r.requests_stamped > 0, "{r:?}");
+    assert!(r.nonce_hits > 0 && r.demotions > 0 && r.legacy > 0, "{r:?}");
 }
 
 /// A malformed frame that gets deep into the decoder — it writes a request

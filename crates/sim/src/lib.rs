@@ -14,7 +14,6 @@
 //! * [`queue`] — the [`queue::QueueDisc`] trait every egress scheduler
 //!   implements, plus drop-tail FIFO.
 //! * [`drr`] — deficit-round-robin fair queuing over dynamic key sets.
-//! * [`hdrr`] — two-level (prefix, then full-key) hierarchical DRR.
 //! * [`bucket`] — token-bucket rate limiting (the request-channel cap).
 //! * [`node`] — the [`node::Node`] trait and [`node::Ctx`] services.
 //! * [`intern`] — dense address indices backing the routing arrays.
@@ -30,7 +29,6 @@
 pub mod bucket;
 pub mod drr;
 pub mod engine;
-pub mod hdrr;
 pub mod event;
 pub mod fault;
 pub mod intern;
@@ -45,7 +43,6 @@ pub mod trace;
 
 pub use bucket::TokenBucket;
 pub use drr::Drr;
-pub use hdrr::Hdrr;
 pub use engine::{shards_from_env, Channel, Simulator, MAX_SHARDS};
 pub use event::{ChannelId, NodeId};
 pub use fault::{splitmix64, DutyCycleOutage, Impairments};
